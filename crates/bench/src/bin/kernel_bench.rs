@@ -32,11 +32,26 @@
 //! also fails when baseline coverage is missing from the fresh run: exact
 //! `(kernel, size, threads)` rows in full mode, kernel names in quick mode —
 //! a kernel that silently stops being benchmarked cannot hide a regression.
+//!
+//! Four informational groups run only when `--only` names them, so they
+//! stay out of the default suite, the committed baseline and `--compare`:
+//! `graal_dictionary` (15- vs 73-orbit graphlet preprocessing),
+//! `isorank_prior` (degree prior vs uniform prior), `assignment_density`
+//! (dense JV vs sparse auction over 8 candidates per row) and
+//! `spmm_crossover` (the scatter / gather / hoist+axpy right-SpMM forms
+//! whose crossover sets `SPMM_RIGHT_HOIST_CUTOFF`).
 
+use graphalign::graal::Graal;
+use graphalign::isorank::IsoRank;
+use graphalign::Aligner;
+use graphalign_assignment::{assign, AssignmentMethod};
+use graphalign_graph::permutation::AlignmentInstance;
 use graphalign_graph::spectral;
 use graphalign_json::Json;
 use graphalign_linalg::sinkhorn::{sinkhorn, uniform_marginal, SinkhornParams};
-use graphalign_linalg::{vec_ops, CsrMatrix, DenseMatrix, Workspace};
+use graphalign_linalg::{vec_ops, CsrMatrix, DenseMatrix, Similarity, Workspace};
+use rand::prelude::*;
+use rand::rngs::StdRng;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -72,7 +87,8 @@ struct Config {
     out: String,
     compare: Option<String>,
     /// Restrict the run to bench groups whose name contains this substring
-    /// (`gemm`, `spmm`, `sinkhorn`, `graphlets`, `isorank`). Measurement
+    /// (`gemm`, `spmm`, `sinkhorn`, `graphlets`, `isorank`, and the
+    /// informational groups, which run only when selected). Measurement
     /// aid only: filtered runs are refused as baselines or compare inputs.
     only: Option<String>,
 }
@@ -394,6 +410,107 @@ fn bench_isorank_loop(cfg: &Config, t: usize, rows: &mut Vec<Row>) {
     }
 }
 
+/// GRAAL's graphlet preprocessing with the default 15-orbit (≤4-node)
+/// dictionary vs the full 73-orbit (≤5-node) one — the cost that earns
+/// GRAAL its O(n⁵) reputation. Throughput counts source edges.
+fn bench_graal_dictionary(cfg: &Config, t: usize, rows: &mut Vec<Row>) {
+    let n = if cfg.quick { 60 } else { 120 };
+    let inst =
+        AlignmentInstance::permuted(graphalign_gen::powerlaw_cluster(n, 4, 0.5, 5), cfg.seed);
+    let edges = inst.source.edge_count() as f64;
+    for (kernel, graal) in
+        [("graal_orbits15", Graal::default()), ("graal_orbits73", Graal::with_full_dictionary())]
+    {
+        let med = time_median(cfg.reps(), || {
+            black_box(graal.costs(&inst.source, &inst.target));
+        });
+        rows.push(row(kernel, format!("n{n}"), t, edges, med));
+    }
+}
+
+/// IsoRank with the paper's §6.1 degree-similarity prior vs a uniform
+/// prior: the quality claim lives in the figure binaries, this shows the
+/// prior costs nothing. Throughput counts similarity entries.
+fn bench_isorank_prior(cfg: &Config, t: usize, rows: &mut Vec<Row>) {
+    let n = if cfg.quick { 100 } else { 200 };
+    let inst =
+        AlignmentInstance::permuted(graphalign_gen::powerlaw_cluster(n, 5, 0.5, 5), cfg.seed);
+    for (kernel, aligner) in [
+        ("isorank_degree_prior", IsoRank::default()),
+        ("isorank_uniform_prior", IsoRank::without_degree_prior()),
+    ] {
+        let med = time_median(cfg.reps(), || {
+            black_box(aligner.similarity(&inst.source, &inst.target).unwrap());
+        });
+        rows.push(row(kernel, format!("n{n}"), t, (n * n) as f64, med));
+    }
+}
+
+/// Optimal extraction on a dense similarity (JV) vs the auction MWM over a
+/// thin candidate list of 8 entries per row — the paper's "the density of
+/// the similarity matrix affects JV's runtime". Throughput counts rows.
+fn bench_assignment_density(cfg: &Config, t: usize, rows: &mut Vec<Row>) {
+    let n = if cfg.quick { 192 } else { 384 };
+    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let dense = Similarity::Dense(DenseMatrix::from_fn(n, n, |_, _| rng.random_range(0.0..1.0)));
+    let triplets: Vec<_> =
+        (0..n * 8).map(|e| (e / 8, rng.random_range(0..n), rng.random_range(0.0..1.0))).collect();
+    let sparse = CsrMatrix::from_triplets(n, n, &triplets);
+    let med = time_median(cfg.reps(), || {
+        black_box(assign(black_box(&dense), AssignmentMethod::JonkerVolgenant));
+    });
+    rows.push(row("assign_jv_dense", format!("n{n}"), t, n as f64, med));
+    let med = time_median(cfg.reps(), || {
+        black_box(graphalign_assignment::auction::auction_max(black_box(&sparse)));
+    });
+    rows.push(row("assign_auction_sparse8", format!("n{n}"), t, n as f64, med));
+}
+
+/// The three bit-identical forms of the IsoRank right-SpMM `D · Aᵀ` on
+/// degree-10 operands: scatter over the CSR rows, gather over a hoisted
+/// transpose, and hoist+axpy (`(Aᵀ · Dᵀ)ᵀ`, two dense transposes per call
+/// feeding the row-axpy kernel). The sweep around n = 512 is where
+/// `mul_csr_tr_into_auto` switches from hoist+axpy to gather.
+fn bench_spmm_crossover(cfg: &Config, t: usize, rows: &mut Vec<Row>) {
+    let sizes: &[usize] =
+        if cfg.quick { &[256, 512] } else { &[64, 128, 256, 320, 384, 448, 512, 1024, 2048] };
+    for &n in sizes {
+        let mut rng = StdRng::seed_from_u64(cfg.seed ^ n as u64);
+        let triplets: Vec<_> = (0..n * 10).map(|e| (e / 10, rng.random_range(0..n), 0.1)).collect();
+        let a = CsrMatrix::from_triplets(n, n, &triplets);
+        let at = a.transpose();
+        let d = dense_of(n, n, cfg.seed + 7);
+        let mut out = DenseMatrix::zeros(n, n);
+        let mut dt = DenseMatrix::zeros(n, n);
+        let mut out_t = DenseMatrix::zeros(n, n);
+        let flops = 2.0 * a.nnz() as f64 * n as f64;
+        let size = format!("n{n}d10");
+        let forms = [
+            (
+                "spmm_form_scatter",
+                time_median(cfg.reps(), || d.mul_csr_into(black_box(&a), &mut out)),
+            ),
+            (
+                "spmm_form_gather",
+                time_median(cfg.reps(), || d.mul_csr_tr_into(black_box(&at), &mut out)),
+            ),
+            (
+                "spmm_form_hoist",
+                time_median(cfg.reps(), || {
+                    black_box(&d).transpose_into(&mut dt);
+                    at.mul_dense_into(&dt, &mut out_t);
+                    out_t.transpose_into(&mut out);
+                }),
+            ),
+        ];
+        let best = forms.iter().min_by_key(|(_, (ns, _))| *ns).map_or("", |&(k, _)| k);
+        for (kernel, med) in forms {
+            rows.push(row(kernel, size.clone(), t, flops, med));
+        }
+        println!("  n={n}: fastest form {best}");
+    }
+}
+
 fn run_all(cfg: &Config) -> Vec<Row> {
     let mut rows = Vec::new();
     // Quick runs measure at the requested thread count; full runs sweep the
@@ -405,6 +522,8 @@ fn run_all(cfg: &Config) -> Vec<Row> {
         sweep
     );
     let enabled = |group: &str| cfg.only.as_deref().is_none_or(|o| group.contains(o));
+    // Informational groups run only on request.
+    let selected = |group: &str| cfg.only.as_deref().is_some_and(|o| group.contains(o));
     for &t in sweep {
         graphalign_par::set_max_threads(t);
         if enabled("gemm") {
@@ -421,6 +540,18 @@ fn run_all(cfg: &Config) -> Vec<Row> {
         }
         if enabled("isorank") {
             bench_isorank_loop(cfg, t, &mut rows);
+        }
+        if selected("graal_dictionary") {
+            bench_graal_dictionary(cfg, t, &mut rows);
+        }
+        if selected("isorank_prior") {
+            bench_isorank_prior(cfg, t, &mut rows);
+        }
+        if selected("assignment_density") {
+            bench_assignment_density(cfg, t, &mut rows);
+        }
+        if selected("spmm_crossover") {
+            bench_spmm_crossover(cfg, t, &mut rows);
         }
     }
     rows

@@ -171,7 +171,7 @@ pub struct CellResult {
     /// the summed per-repetition alignment time averaged over `reps_ok`.
     pub wall_clock: f64,
     /// Worker-thread cap the cell ran under (`--threads` /
-    /// `GRAPHALIGN_THREADS` / core count; 1 in sequential builds).
+    /// `GRAPHALIGN_THREADS` / core count).
     pub threads: usize,
     /// Aggregated solver telemetry of the successful repetitions; `None`
     /// for skipped cells and cells where no repetition succeeded.
@@ -392,7 +392,7 @@ pub fn run_cell_traced(
     // One chunk per repetition: an alignment run dwarfs any per-item
     // forking threshold, so bill each item at `usize::MAX >> 16`.
     let results = graphalign_par::try_map_collect(policy.reps, usize::MAX >> 16, |r| {
-        crate::fault::maybe_inject(&format!(
+        graphalign_par::fault::maybe_inject(&format!(
             "{}:{}:{}:r{r}",
             algo.name(),
             noise.model.label(),

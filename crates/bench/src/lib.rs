@@ -10,16 +10,15 @@
 //! * `--seed <u64>` — base RNG seed;
 //! * `--out <path>` — additionally write the result rows as JSON;
 //! * `--threads <n>` — worker-thread cap for the parallel kernels (default:
-//!   `GRAPHALIGN_THREADS`/`RAYON_NUM_THREADS`, then the machine's core
-//!   count). Results are bit-identical for every thread count; only the
-//!   wall-clock columns change.
+//!   `GRAPHALIGN_THREADS`, then the machine's core count). Results are
+//!   bit-identical for every thread count; only the wall-clock columns
+//!   change.
 //!
 //! The library half provides the pieces the binaries share: the algorithm
 //! roster with per-algorithm feasibility caps ([`suite`]), the measurement
 //! loop ([`harness`]), memory accounting ([`memprobe`]), and plain-text
 //! table rendering ([`table`]).
 
-pub mod fault;
 pub mod figures;
 pub mod harness;
 pub mod journal;

@@ -337,9 +337,16 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Parses a complete JSON document (trailing whitespace allowed).
+/// Deepest nesting of arrays and objects [`from_str`] accepts. The parser
+/// recurses once per level, so the cap bounds its stack use; protocol
+/// documents are a few levels deep.
+const MAX_DEPTH: usize = 128;
+
+/// Parses a complete JSON document (trailing whitespace allowed). Documents
+/// nesting arrays and objects more than 128 deep are rejected with a
+/// [`ParseError`].
 pub fn from_str(text: &str) -> Result<Json, ParseError> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -352,6 +359,8 @@ pub fn from_str(text: &str) -> Result<Json, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -389,8 +398,15 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let v = if open == b'{' { self.object() } else { self.array() };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -671,6 +687,20 @@ mod tests {
         assert!(from_str("nul").is_err());
         assert!(from_str("1 2").is_err());
         assert!(from_str("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn parser_caps_nesting_depth() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        let deepest = from_str(&nested(MAX_DEPTH)).expect("depth 128 parses");
+        assert_eq!(walk(&deepest).count(), MAX_DEPTH);
+        assert!(from_str(&nested(MAX_DEPTH + 1)).is_err());
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1) + "1" + &"}".repeat(MAX_DEPTH + 1);
+        assert!(from_str(&objects).is_err());
+        // Far past the cap, and unterminated: must fail without recursing
+        // once per bracket (200,000 frames would overflow the stack).
+        let err = from_str(&"[".repeat(200_000)).unwrap_err();
+        assert_eq!(err.at, MAX_DEPTH);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! embedding matrices (rows = nodes), and for the small square systems inside
 //! the eigen/SVD/QR routines. Hot products are parallelized over row blocks
 //! through [`graphalign_par`] (matching the paper's many-core testbed); the
-//! chunking is deterministic, so results are identical for any thread count
-//! and for the sequential `--no-default-features` build.
+//! chunking is deterministic, so results are identical for any thread count,
+//! one included.
 
 use crate::simd;
 use crate::vec_ops;

@@ -552,9 +552,10 @@ impl DenseMatrix {
 
 /// Output-element cutoff below which [`DenseMatrix::mul_csr_tr_into_auto`]
 /// uses the hoisted-transpose row-axpy formulation instead of the gather
-/// kernel. Chosen from `spmm_form_bench` medians on the benchmark machine:
-/// the axpy form wins through n = 448 and loses abruptly at n = 512, where
-/// the per-call dense transposes (2·n²·8 B = 4 MB) overflow the 2 MB L2.
+/// kernel. Chosen from `kernel_bench --only spmm_crossover` medians on the
+/// benchmark machine: the axpy form wins through n = 448 and loses abruptly
+/// at n = 512, where the per-call dense transposes (2·n²·8 B = 4 MB)
+/// overflow the 2 MB L2.
 pub const SPMM_RIGHT_HOIST_CUTOFF: usize = 512 * 512;
 
 #[cfg(test)]

@@ -11,19 +11,18 @@
 //! That holds because work is split at *fixed chunk boundaries* chosen from
 //! the problem size alone, each chunk is computed independently, and any
 //! reduction over chunk results happens sequentially in chunk order. Running
-//! with 1 thread, 64 threads, or with the `parallel` feature disabled
-//! produces bit-identical floating-point output, so correctness tests and
-//! paper-figure reproductions are insensitive to the machine's core count.
+//! with 1 thread or with 64 produces bit-identical floating-point output, so
+//! correctness tests and paper-figure reproductions are insensitive to the
+//! machine's core count.
 //!
-//! # Feature `parallel` (default)
+//! # Threads
 //!
-//! With the feature enabled, chunks are executed by scoped OS threads
-//! (`std::thread::scope` — the workspace builds offline, so no external
-//! thread-pool crate is available). The thread count is taken from, in order:
-//! [`set_max_threads`], the `GRAPHALIGN_THREADS` environment variable, the
-//! `RAYON_NUM_THREADS` environment variable (honored for familiarity), and
-//! finally [`std::thread::available_parallelism`]. With the feature disabled
-//! the same chunk schedule runs inline and no thread is ever spawned.
+//! Chunks are executed by scoped OS threads (`std::thread::scope` — the
+//! workspace builds offline, so no external thread-pool crate is available).
+//! The thread count is taken from, in order: [`set_max_threads`], the
+//! `GRAPHALIGN_THREADS` environment variable, and finally
+//! [`std::thread::available_parallelism`]. At one thread the same chunk
+//! schedule runs inline and no thread is ever spawned.
 //!
 //! Small inputs (below [`MIN_PAR_WORK`] work items) also run inline: scoped
 //! threads cost tens of microseconds to fork and join, which would dominate
@@ -37,56 +36,34 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Work threshold (in `cost_per_item` units, 1 unit ≈ one multiply-add)
-/// below which helpers run inline even when the `parallel` feature is
-/// enabled: forking scoped threads costs tens of microseconds, which would
-/// dominate kernels this small.
+/// below which helpers run inline: forking scoped threads costs tens of
+/// microseconds, which would dominate kernels this small.
 pub const MIN_PAR_WORK: usize = 1 << 17;
 
 /// Thread-count override installed by [`set_max_threads`]; 0 means "unset".
 static MAX_THREADS: AtomicUsize = AtomicUsize::new(0);
 
-/// One unit of work handed to a worker: chunk index, its index range, and
-/// the disjoint sub-slice it owns.
-#[cfg(feature = "parallel")]
-type Job<'a, T> = (usize, Range<usize>, &'a mut [T]);
-
 /// Caps the number of worker threads used by all helpers in this crate.
 ///
-/// Takes precedence over `GRAPHALIGN_THREADS` / `RAYON_NUM_THREADS`. Passing
-/// `0` clears the override. Because results are thread-count independent,
-/// this knob only affects wall-clock time.
+/// Takes precedence over `GRAPHALIGN_THREADS`. Passing `0` clears the
+/// override. Because results are thread-count independent, this knob only
+/// affects wall-clock time.
 pub fn set_max_threads(n: usize) {
     MAX_THREADS.store(n, Ordering::Relaxed);
 }
 
 fn env_threads() -> Option<usize> {
-    for var in ["GRAPHALIGN_THREADS", "RAYON_NUM_THREADS"] {
-        if let Ok(v) = std::env::var(var) {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                if n > 0 {
-                    return Some(n);
-                }
-            }
-        }
-    }
-    None
+    let n = std::env::var("GRAPHALIGN_THREADS").ok()?.trim().parse::<usize>().ok()?;
+    (n > 0).then_some(n)
 }
 
 /// The number of worker threads helpers may use for large inputs.
-///
-/// Always `1` when the `parallel` feature is disabled.
 pub fn max_threads() -> usize {
-    if !cfg!(feature = "parallel") {
-        return 1;
-    }
     let explicit = MAX_THREADS.load(Ordering::Relaxed);
     if explicit > 0 {
         return explicit;
     }
-    if let Some(n) = env_threads() {
-        return n;
-    }
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+    env_threads().unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// Splits `0..len` into the fixed chunk ranges all helpers use: `chunk_len`
@@ -111,6 +88,75 @@ fn auto_chunk_len(_len: usize, cost_per_item: usize) -> usize {
     (MIN_PAR_WORK / 2).div_ceil(cost_per_item.max(1)).max(1)
 }
 
+fn should_fork(len: usize, cost_per_item: usize, chunks: usize) -> bool {
+    chunks > 1 && max_threads() > 1 && len.saturating_mul(cost_per_item.max(1)) >= MIN_PAR_WORK
+}
+
+/// Runs `work(share)` for every share, each on its own scoped thread that
+/// adopts the caller's cooperative budget and telemetry sink, and returns
+/// the results in share order. A worker's panic is re-raised on the caller
+/// with its original payload, as the inline path would raise it.
+fn fan_out<S: Send, R: Send>(
+    shares: impl IntoIterator<Item = S>,
+    work: impl Fn(S) -> R + Sync,
+) -> Vec<R> {
+    let work = &work;
+    let parent_budget = budget::current();
+    let parent_sink = telemetry::current();
+    std::thread::scope(|s| {
+        let handles: Vec<_> = shares
+            .into_iter()
+            .map(|share| {
+                let parent_budget = parent_budget.clone();
+                let parent_sink = parent_sink.clone();
+                s.spawn(move || {
+                    let _budget = budget::adopt(parent_budget);
+                    let _telemetry = telemetry::adopt(parent_sink);
+                    work(share)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
+            .collect()
+    })
+}
+
+/// Runs `f(chunk_index, range, piece)` over the fixed chunks of `0..len`,
+/// where `piece` is the disjoint sub-slice of `data` holding `unit`
+/// elements per index of `range`. Large inputs hand each worker a
+/// round-robin share of the pieces; small ones run inline in chunk order.
+fn for_each_piece_mut<T: Send>(
+    data: &mut [T],
+    unit: usize,
+    len: usize,
+    cost_per_item: usize,
+    f: impl Fn(usize, Range<usize>, &mut [T]) + Sync,
+) {
+    let ranges = chunk_ranges(len, auto_chunk_len(len, cost_per_item));
+    let mut rest = data;
+    let pieces = ranges.iter().enumerate().map(|(c, r)| {
+        let (head, tail) = std::mem::take(&mut rest).split_at_mut(r.len() * unit);
+        rest = tail;
+        (c, r.clone(), head)
+    });
+    if !should_fork(len, cost_per_item, ranges.len()) {
+        pieces.for_each(|(c, r, piece)| f(c, r, piece));
+        return;
+    }
+    let workers = max_threads().min(ranges.len());
+    let mut shares: Vec<Vec<_>> = (0..workers).map(|_| Vec::new()).collect();
+    for (slot, job) in pieces.enumerate() {
+        shares[slot % workers].push(job);
+    }
+    fan_out(shares, |share| {
+        for (c, r, piece) in share {
+            f(c, r, piece);
+        }
+    });
+}
+
 /// Runs `f(chunk_index, chunk)` over fixed-size chunks of `data`, in parallel
 /// for large inputs.
 ///
@@ -123,58 +169,7 @@ pub fn for_each_chunk_mut<T: Send>(
     f: impl Fn(usize, Range<usize>, &mut [T]) + Sync,
 ) {
     let len = data.len();
-    if len == 0 {
-        return;
-    }
-    let chunk_len = auto_chunk_len(len, cost_per_item);
-    let ranges = chunk_ranges(len, chunk_len);
-    if !should_fork(len, cost_per_item, ranges.len()) {
-        let mut rest = data;
-        let mut offset = 0;
-        for (c, r) in ranges.iter().enumerate() {
-            let (head, tail) = rest.split_at_mut(r.end - offset);
-            f(c, r.clone(), head);
-            rest = tail;
-            offset = r.end;
-        }
-        return;
-    }
-    #[cfg(feature = "parallel")]
-    {
-        // Hand each worker a round-robin share of the (disjoint) chunks.
-        let mut jobs: Vec<Job<'_, T>> = Vec::with_capacity(ranges.len());
-        let mut rest = data;
-        let mut offset = 0;
-        for (c, r) in ranges.iter().enumerate() {
-            let (head, tail) = rest.split_at_mut(r.end - offset);
-            jobs.push((c, r.clone(), head));
-            rest = tail;
-            offset = r.end;
-        }
-        let workers = max_threads().min(jobs.len());
-        let mut shares: Vec<Vec<Job<'_, T>>> = (0..workers).map(|_| Vec::new()).collect();
-        for (slot, job) in jobs.into_iter().enumerate() {
-            shares[slot % workers].push(job);
-        }
-        let f = &f;
-        let parent_budget = budget::current();
-        let parent_sink = telemetry::current();
-        std::thread::scope(|s| {
-            for share in shares {
-                let parent_budget = parent_budget.clone();
-                let parent_sink = parent_sink.clone();
-                s.spawn(move || {
-                    let _budget = budget::adopt(parent_budget);
-                    let _telemetry = telemetry::adopt(parent_sink);
-                    for (c, r, chunk) in share {
-                        f(c, r, chunk);
-                    }
-                });
-            }
-        });
-    }
-    #[cfg(not(feature = "parallel"))]
-    unreachable!("should_fork is false without the `parallel` feature");
+    for_each_piece_mut(data, 1, len, cost_per_item, f);
 }
 
 /// Runs `f(row_range, block)` over blocks of whole rows of a row-major
@@ -190,67 +185,12 @@ pub fn for_each_row_block_mut<T: Send>(
     cost_per_row: usize,
     f: impl Fn(Range<usize>, &mut [T]) + Sync,
 ) {
-    if data.is_empty() || row_len == 0 {
+    if row_len == 0 {
         return;
     }
     debug_assert_eq!(data.len() % row_len, 0, "data must hold whole rows");
     let rows = data.len() / row_len;
-    let chunk_rows = auto_chunk_len(rows, cost_per_row);
-    let ranges = chunk_ranges(rows, chunk_rows);
-    if !should_fork(rows, cost_per_row, ranges.len()) {
-        let mut rest = data;
-        let mut offset = 0;
-        for r in ranges {
-            let (head, tail) = rest.split_at_mut((r.end - offset) * row_len);
-            offset = r.end;
-            f(r, head);
-            rest = tail;
-        }
-        return;
-    }
-    #[cfg(feature = "parallel")]
-    {
-        let mut jobs: Vec<(Range<usize>, &mut [T])> = Vec::with_capacity(ranges.len());
-        let mut rest = data;
-        let mut offset = 0;
-        for r in &ranges {
-            let (head, tail) = rest.split_at_mut((r.end - offset) * row_len);
-            jobs.push((r.clone(), head));
-            rest = tail;
-            offset = r.end;
-        }
-        let workers = max_threads().min(jobs.len());
-        let mut shares: Vec<Vec<(Range<usize>, &mut [T])>> =
-            (0..workers).map(|_| Vec::new()).collect();
-        for (slot, job) in jobs.into_iter().enumerate() {
-            shares[slot % workers].push(job);
-        }
-        let f = &f;
-        let parent_budget = budget::current();
-        let parent_sink = telemetry::current();
-        std::thread::scope(|s| {
-            for share in shares {
-                let parent_budget = parent_budget.clone();
-                let parent_sink = parent_sink.clone();
-                s.spawn(move || {
-                    let _budget = budget::adopt(parent_budget);
-                    let _telemetry = telemetry::adopt(parent_sink);
-                    for (r, block) in share {
-                        f(r, block);
-                    }
-                });
-            }
-        });
-    }
-    #[cfg(not(feature = "parallel"))]
-    unreachable!("should_fork is false without the `parallel` feature");
-}
-
-fn should_fork(len: usize, cost_per_item: usize, chunks: usize) -> bool {
-    cfg!(feature = "parallel")
-        && chunks > 1
-        && max_threads() > 1
-        && len.saturating_mul(cost_per_item.max(1)) >= MIN_PAR_WORK
+    for_each_piece_mut(data, row_len, rows, cost_per_row, |_, r, block| f(r, block));
 }
 
 /// Computes `(0..len).map(f)` into a `Vec`, in parallel for large inputs.
@@ -267,18 +207,13 @@ pub fn map_collect<T: Send>(
     if !should_fork(len, cost_per_item, ranges.len()) {
         return (0..len).map(f).collect();
     }
-    #[cfg(feature = "parallel")]
-    {
-        let mut parts: Vec<Vec<T>> =
-            map_chunks_parallel(&ranges, &|r: Range<usize>| r.map(&f).collect::<Vec<T>>());
-        let mut out = Vec::with_capacity(len);
-        for part in parts.iter_mut() {
-            out.append(part);
-        }
-        out
+    let mut parts: Vec<Vec<T>> =
+        map_chunks_parallel(&ranges, &|r: Range<usize>| r.map(&f).collect::<Vec<T>>());
+    let mut out = Vec::with_capacity(len);
+    for part in parts.iter_mut() {
+        out.append(part);
     }
-    #[cfg(not(feature = "parallel"))]
-    unreachable!("should_fork is false without the `parallel` feature");
+    out
 }
 
 /// Extracts a human-readable message from a caught panic payload
@@ -297,8 +232,8 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// Panic-isolating [`map_collect`]: computes `(0..len).map(f)` into a `Vec`,
 /// converting a panic in `f(i)` into `Err(message)` for that index instead
-/// of unwinding (and, under the `parallel` feature, instead of poisoning the
-/// worker pool and aborting the process).
+/// of unwinding (and, on a forked run, instead of tearing down the other
+/// workers and aborting the caller).
 ///
 /// The chunk schedule is identical to [`map_collect`]'s — a pure function of
 /// `len` and `cost_per_item` — so both the successful values and the
@@ -336,12 +271,7 @@ pub fn fold_chunks<A: Send>(
     if !should_fork(len, cost_per_item, ranges.len()) {
         return ranges.into_iter().map(fold).collect();
     }
-    #[cfg(feature = "parallel")]
-    {
-        map_chunks_parallel(&ranges, &fold)
-    }
-    #[cfg(not(feature = "parallel"))]
-    unreachable!("should_fork is false without the `parallel` feature");
+    map_chunks_parallel(&ranges, &fold)
 }
 
 /// Deterministic parallel sum of `f(i)` over `0..len`: chunk partial sums are
@@ -371,75 +301,32 @@ pub fn fold_strided<A: Send>(
     if !should_fork(len, cost_per_item, 2) {
         return vec![fold(0, 1)];
     }
-    #[cfg(feature = "parallel")]
-    {
-        let workers = max_threads().min(len);
-        let fold = &fold;
-        let parent_budget = budget::current();
-        let parent_sink = telemetry::current();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let parent_budget = parent_budget.clone();
-                    let parent_sink = parent_sink.clone();
-                    s.spawn(move || {
-                        let _budget = budget::adopt(parent_budget);
-                        let _telemetry = telemetry::adopt(parent_sink);
-                        fold(w, workers)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("worker thread panicked")).collect()
-        })
-    }
-    #[cfg(not(feature = "parallel"))]
-    unreachable!("should_fork is false without the `parallel` feature");
+    let workers = max_threads().min(len);
+    fan_out(0..workers, |w| fold(w, workers))
 }
 
-/// Runs every chunk closure on scoped threads and collects results in chunk
-/// order.
-#[cfg(feature = "parallel")]
+/// Runs every chunk closure on scoped threads, workers claiming chunks from
+/// a shared counter, and collects the results in chunk order.
 fn map_chunks_parallel<A: Send>(
     ranges: &[Range<usize>],
     fold: &(impl Fn(Range<usize>) -> A + Sync),
 ) -> Vec<A> {
     let workers = max_threads().min(ranges.len());
     let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<A>> = (0..ranges.len()).map(|_| None).collect();
-    {
-        let slot_ptrs: Vec<_> = slots.iter_mut().collect();
-        let shared = std::sync::Mutex::new(slot_ptrs);
-        let parent_budget = budget::current();
-        let parent_sink = telemetry::current();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let next = &next;
-                    let shared = &shared;
-                    let parent_budget = parent_budget.clone();
-                    let parent_sink = parent_sink.clone();
-                    s.spawn(move || {
-                        let _budget = budget::adopt(parent_budget);
-                        let _telemetry = telemetry::adopt(parent_sink);
-                        let mut produced: Vec<(usize, A)> = Vec::new();
-                        loop {
-                            let c = next.fetch_add(1, Ordering::Relaxed);
-                            if c >= ranges.len() {
-                                break;
-                            }
-                            produced.push((c, fold(ranges[c].clone())));
-                        }
-                        let mut slots = shared.lock().expect("slot mutex poisoned");
-                        for (c, a) in produced {
-                            *slots[c] = Some(a);
-                        }
-                    })
-                })
-                .collect();
-            for h in handles {
-                h.join().expect("worker thread panicked");
+    let produced = fan_out(0..workers, |_| {
+        let mut produced: Vec<(usize, A)> = Vec::new();
+        loop {
+            let c = next.fetch_add(1, Ordering::Relaxed);
+            if c >= ranges.len() {
+                break;
             }
-        });
+            produced.push((c, fold(ranges[c].clone())));
+        }
+        produced
+    });
+    let mut slots: Vec<Option<A>> = (0..ranges.len()).map(|_| None).collect();
+    for (c, a) in produced.into_iter().flatten() {
+        slots[c] = Some(a);
     }
     slots.into_iter().map(|s| s.expect("every chunk produced")).collect()
 }
@@ -646,10 +533,30 @@ mod tests {
     }
 
     #[test]
-    fn worker_threads_inherit_the_installed_budget() {
-        if !cfg!(feature = "parallel") {
-            return;
+    fn worker_panics_reach_the_caller_with_their_own_message() {
+        let _lock = HOOK_LOCK.lock().unwrap();
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let mut messages = Vec::new();
+        for threads in [1, 4] {
+            set_max_threads(threads);
+            let mut data = vec![0u8; 300_000];
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                for_each_chunk_mut(&mut data, 1, |c, _, _| {
+                    if c == 1 {
+                        panic!("chunk {c} failed");
+                    }
+                });
+            }));
+            messages.push(panic_message(caught.expect_err("chunk 1 panics").as_ref()));
         }
+        set_max_threads(0);
+        std::panic::set_hook(prev);
+        assert_eq!(messages, ["chunk 1 failed", "chunk 1 failed"]);
+    }
+
+    #[test]
+    fn worker_threads_inherit_the_installed_budget() {
         set_max_threads(4);
         let _g = budget::install(Some(std::time::Duration::ZERO));
         // Every index polls the budget from whatever worker runs it.
@@ -660,9 +567,6 @@ mod tests {
 
     #[test]
     fn worker_threads_inherit_the_installed_telemetry_sink() {
-        if !cfg!(feature = "parallel") {
-            return;
-        }
         set_max_threads(4);
         let _g = telemetry::install(false);
         // Every index bumps the shared counter from whatever worker runs it.
@@ -675,11 +579,7 @@ mod tests {
     fn max_threads_is_positive_and_overridable() {
         assert!(max_threads() >= 1);
         set_max_threads(3);
-        if cfg!(feature = "parallel") {
-            assert_eq!(max_threads(), 3);
-        } else {
-            assert_eq!(max_threads(), 1);
-        }
+        assert_eq!(max_threads(), 3);
         set_max_threads(0);
         assert!(max_threads() >= 1);
     }

@@ -333,6 +333,21 @@ fn oversized_and_malformed_requests_get_413_and_400() {
 }
 
 #[test]
+fn deeply_nested_job_body_gets_400_and_the_server_keeps_serving() {
+    let _guard = lock();
+    let server = start(ServeConfig::default()).expect("start");
+    let addr = server.addr().to_string();
+    // 200 KB of `[`: far under the body cap, and deep enough to overflow a
+    // connection thread's stack if the parser recursed once per level.
+    let nested = vec![b'['; 200_000];
+    let resp = http::request(&addr, "POST", "/jobs", &nested).expect("request");
+    assert_eq!(resp.status, 400, "{}", resp.body);
+    let ok = http::request(&addr, "GET", "/healthz", b"").expect("healthz");
+    assert_eq!(ok.status, 200);
+    stop(server);
+}
+
+#[test]
 fn slow_loris_connections_get_408_and_release_their_thread() {
     let _guard = lock();
     let server = start(ServeConfig {
