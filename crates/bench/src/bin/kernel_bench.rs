@@ -33,13 +33,15 @@
 //! `(kernel, size, threads)` rows in full mode, kernel names in quick mode —
 //! a kernel that silently stops being benchmarked cannot hide a regression.
 //!
-//! Four informational groups run only when `--only` names them, so they
+//! Five informational groups run only when `--only` names them, so they
 //! stay out of the default suite, the committed baseline and `--compare`:
 //! `graal_dictionary` (15- vs 73-orbit graphlet preprocessing),
 //! `isorank_prior` (degree prior vs uniform prior), `assignment_density`
-//! (dense JV vs sparse auction over 8 candidates per row) and
+//! (dense JV vs sparse auction over 8 candidates per row),
 //! `spmm_crossover` (the scatter / gather / hoist+axpy right-SpMM forms
-//! whose crossover sets `SPMM_RIGHT_HOIST_CUTOFF`).
+//! whose crossover sets `SPMM_RIGHT_HOIST_CUTOFF`) and
+//! `structural_features` (the K-hop feature extractor on a hub-heavy and
+//! a uniform-degree graph, in scanned adjacency entries per second).
 
 use graphalign::graal::Graal;
 use graphalign::isorank::IsoRank;
@@ -511,6 +513,30 @@ fn bench_spmm_crossover(cfg: &Config, t: usize, rows: &mut Vec<Row>) {
     }
 }
 
+/// The shared K-hop structural-feature extractor (REGAL, FPROP, CONE and
+/// S-GWL all call it) at `K = 2` on n = 2¹⁴ graphs: a power-law
+/// configuration model (exponent 2.5), whose hubs make it expensive, and a
+/// uniform degree-10 one. Throughput counts scanned adjacency entries,
+/// `Σ_u deg(u) + Σ_u deg(u)²` at `K = 2`.
+fn bench_structural_features(cfg: &Config, t: usize, rows: &mut Vec<Row>) {
+    use graphalign::features::{bucket_count, structural_features, FeatureParams};
+    use graphalign_gen::degrees;
+    const N: usize = 1 << 14;
+    let params = FeatureParams::default();
+    for (size, degree_seq) in [
+        ("n16384pl2.5", degrees::power_law(N, 2.5, 3, cfg.seed)),
+        ("n16384d10", degrees::uniform(N, 10)),
+    ] {
+        let g = graphalign_gen::configuration_model(&degree_seq, cfg.seed + 8);
+        let scanned: usize = (0..N).map(|u| g.degree(u) * (g.degree(u) + 1)).sum();
+        let buckets = bucket_count(&g, &g);
+        let med = time_median(cfg.reps(), || {
+            black_box(structural_features(black_box(&g), &params, buckets));
+        });
+        rows.push(row("structural_features", size.to_string(), t, scanned as f64, med));
+    }
+}
+
 fn run_all(cfg: &Config) -> Vec<Row> {
     let mut rows = Vec::new();
     // Quick runs measure at the requested thread count; full runs sweep the
@@ -552,6 +578,9 @@ fn run_all(cfg: &Config) -> Vec<Row> {
         }
         if selected("spmm_crossover") {
             bench_spmm_crossover(cfg, t, &mut rows);
+        }
+        if selected("structural_features") {
+            bench_structural_features(cfg, t, &mut rows);
         }
     }
     rows

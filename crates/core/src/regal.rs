@@ -15,6 +15,7 @@
 //!    a k-d tree (Equation 10) — the study then restricts REGAL to
 //!    one-to-one outputs with SG/JV on the same embedding similarity.
 
+use crate::features::{feature_pair, FeatureParams};
 use crate::{check_sizes, AlignError, Aligner};
 use graphalign_assignment::AssignmentMethod;
 use graphalign_graph::Graph;
@@ -46,15 +47,6 @@ impl Default for Regal {
 }
 
 impl Regal {
-    /// Structural feature vectors (log-bucketed `K`-hop degree histograms)
-    /// for every node of `g`, with `buckets` histogram cells — the shared
-    /// [`crate::features`] descriptor parameterized by this REGAL instance.
-    pub fn features(&self, g: &Graph, buckets: usize) -> DenseMatrix {
-        let params =
-            crate::features::FeatureParams { k_hops: self.k_hops, discount: self.discount };
-        crate::features::structural_features(g, &params, buckets)
-    }
-
     /// The xNetMF embeddings of both graphs: `(Y_A, Y_B)` with `p`
     /// dimensions each, rows L2-normalized.
     ///
@@ -68,10 +60,8 @@ impl Regal {
         let n_a = source.node_count();
         let n_b = target.node_count();
         let total = n_a + n_b;
-        let max_deg = source.max_degree().max(target.max_degree()).max(1);
-        let buckets = (max_deg as f64).log2().floor() as usize + 1;
-        let fa = self.features(source, buckets);
-        let fb = self.features(target, buckets);
+        let params = FeatureParams { k_hops: self.k_hops, discount: self.discount };
+        let (fa, fb) = feature_pair(source, target, &params);
         let all = fa.vstack(&fb);
 
         let p = self

@@ -300,7 +300,9 @@ pub fn start(config: ServeConfig) -> std::io::Result<ServerHandle> {
         sender: Mutex::new(Some(tx)),
         shutdown: AtomicBool::new(false),
         inflight_bytes: AtomicU64::new(0),
-        workers_alive: AtomicUsize::new(0),
+        // Counted before the spawns, so a `/healthz` right after `start`
+        // returns does not race the workers' first instructions.
+        workers_alive: AtomicUsize::new(workers),
         latencies: Mutex::new(VecDeque::new()),
     });
     let rx = Arc::new(Mutex::new(rx));
@@ -334,7 +336,6 @@ fn worker_loop(state: &Arc<ServerState>, rx: &Mutex<Receiver<usize>>) {
             self.0.fetch_sub(1, Ordering::SeqCst);
         }
     }
-    state.workers_alive.fetch_add(1, Ordering::SeqCst);
     let _alive = Alive(&state.workers_alive);
     loop {
         // Take the lock only to receive; execution runs unlocked so the
