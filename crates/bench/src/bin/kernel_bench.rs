@@ -33,7 +33,9 @@
 //! `(kernel, size, threads)` rows in full mode, kernel names in quick mode —
 //! a kernel that silently stops being benchmarked cannot hide a regression.
 //!
-//! Five informational groups run only when `--only` names them, so they
+//! `--only` takes a comma-separated list of exact group names (see
+//! [`SUITE_GROUPS`] and [`INFO_GROUPS`]); an unknown name is a usage error.
+//! Six informational groups run only when `--only` names them, so they
 //! stay out of the default suite, the committed baseline and `--compare`:
 //! `graal_dictionary` (15- vs 73-orbit graphlet preprocessing),
 //! `isorank_prior` (degree prior vs uniform prior), `assignment_density`
@@ -41,7 +43,9 @@
 //! `spmm_crossover` (the scatter / gather / hoist+axpy right-SpMM forms
 //! whose crossover sets `SPMM_RIGHT_HOIST_CUTOFF`) and
 //! `structural_features` (the K-hop feature extractor on a hub-heavy and
-//! a uniform-degree graph, in scanned adjacency entries per second).
+//! a uniform-degree graph, in scanned adjacency entries per second) and
+//! `sharded_topk` (the pruned top-10 scan of a factored similarity, per
+//! kernel, in similarity entries per second).
 
 use graphalign::graal::Graal;
 use graphalign::isorank::IsoRank;
@@ -59,6 +63,19 @@ use std::time::Instant;
 
 /// Thread counts swept by a full run (the roofline axis of the baseline).
 const THREAD_SWEEP: [usize; 3] = [1, 2, 8];
+
+/// Groups of the default suite (and of the committed baseline).
+const SUITE_GROUPS: [&str; 5] = ["gemm", "spmm", "sinkhorn", "graphlets", "isorank"];
+
+/// Informational groups: they run only when `--only` names them.
+const INFO_GROUPS: [&str; 6] = [
+    "graal_dictionary",
+    "isorank_prior",
+    "assignment_density",
+    "spmm_crossover",
+    "structural_features",
+    "sharded_topk",
+];
 
 /// Naive/optimized kernel pairs whose speedup ratio `--compare` tracks.
 const RATIO_PAIRS: [(&str, &str); 3] = [
@@ -88,18 +105,20 @@ struct Config {
     seed: u64,
     out: String,
     compare: Option<String>,
-    /// Restrict the run to bench groups whose name contains this substring
-    /// (`gemm`, `spmm`, `sinkhorn`, `graphlets`, `isorank`, and the
-    /// informational groups, which run only when selected). Measurement
-    /// aid only: filtered runs are refused as baselines or compare inputs.
-    only: Option<String>,
+    /// Run exactly these groups (from [`SUITE_GROUPS`] and
+    /// [`INFO_GROUPS`]) instead of the default suite. Measurement aid only:
+    /// filtered runs are refused as baselines or compare inputs.
+    only: Option<Vec<&'static str>>,
 }
 
 fn usage() -> ! {
     eprintln!(
-        "usage: kernel_bench [--quick] [--threads N] [--seed S] [--only GROUP] [--out PATH] \
-         [--compare BASELINE]\n\
-         --threads applies to --quick runs; full runs sweep threads=1,2,8"
+        "usage: kernel_bench [--quick] [--threads N] [--seed S] [--only GROUP[,GROUP…]] \
+         [--out PATH] [--compare BASELINE]\n\
+         --threads applies to --quick runs; full runs sweep threads=1,2,8\n\
+         groups: {} (default suite); {} (informational)",
+        SUITE_GROUPS.join(", "),
+        INFO_GROUPS.join(", ")
     );
     std::process::exit(2);
 }
@@ -134,8 +153,12 @@ impl Config {
                     Some(p) => cfg.compare = Some(p),
                     None => usage(),
                 },
-                "--only" => match args.next() {
-                    Some(g) => cfg.only = Some(g),
+                "--only" => match args.next().as_deref().map(parse_only) {
+                    Some(Ok(groups)) => cfg.only = Some(groups),
+                    Some(Err(name)) => {
+                        eprintln!("unknown group: {name:?}");
+                        usage();
+                    }
                     None => usage(),
                 },
                 "--help" | "-h" => usage(),
@@ -154,6 +177,30 @@ impl Config {
         } else {
             5
         }
+    }
+}
+
+/// Parses a comma-separated list of exact group names; `Err` carries the
+/// first name that is not a group (an empty name included).
+fn parse_only(list: &str) -> Result<Vec<&'static str>, String> {
+    list.split(',')
+        .map(|name| {
+            SUITE_GROUPS
+                .iter()
+                .chain(&INFO_GROUPS)
+                .find(|g| **g == name)
+                .copied()
+                .ok_or_else(|| name.to_string())
+        })
+        .collect()
+}
+
+/// Whether `group` runs: without `--only`, the default suite; with it,
+/// exactly the named groups.
+fn group_runs(only: Option<&[&str]>, group: &str) -> bool {
+    match only {
+        None => SUITE_GROUPS.contains(&group),
+        Some(groups) => groups.contains(&group),
     }
 }
 
@@ -537,6 +584,38 @@ fn bench_structural_features(cfg: &Config, t: usize, rows: &mut Vec<Row>) {
     }
 }
 
+/// The sharded top-10 scan (`assignment::topk`, which NN assignment on the
+/// XL tier and SortGreedy's first pages run) over a 1024 × 16384 factored
+/// similarity of rank 32, with L2-normalized random factor rows like REGAL's
+/// and CONE's embeddings, for each kernel. Throughput counts similarity
+/// entries; the printed share is the fraction of entries whose key passed
+/// the pruning floor and so paid for `exp` and a heap offer.
+fn bench_sharded_topk(cfg: &Config, t: usize, rows: &mut Vec<Row>) {
+    use graphalign_assignment::topk::{sharded_row_top_k_counted, TopKConfig};
+    use graphalign_linalg::{LowRankKernel, LowRankSim};
+    const K: usize = 10;
+    let (n, m, d) = (1024, 16384, 32);
+    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let mut ya = DenseMatrix::from_fn(n, d, |_, _| rng.random_range(-1.0..1.0));
+    let mut yb = DenseMatrix::from_fn(m, d, |_, _| rng.random_range(-1.0..1.0));
+    ya.normalize_rows();
+    yb.normalize_rows();
+    for kernel in [LowRankKernel::Dot, LowRankKernel::NegSqDist, LowRankKernel::ExpNegSqDist] {
+        let lr = LowRankSim::new(ya.clone(), yb.clone(), kernel);
+        let topk = TopKConfig::default();
+        let (_, offered) = sharded_row_top_k_counted(&lr, K, &topk);
+        let med = time_median(cfg.reps(), || {
+            black_box(sharded_row_top_k_counted(black_box(&lr), K, &topk));
+        });
+        let size = format!("{}_n{n}m{m}d{d}k{K}", kernel.as_str());
+        rows.push(row("sharded_topk", size, t, (n * m) as f64, med));
+        println!(
+            "  {:.2}% of entries reached exp and the heap",
+            100.0 * offered as f64 / (n * m) as f64
+        );
+    }
+}
+
 fn run_all(cfg: &Config) -> Vec<Row> {
     let mut rows = Vec::new();
     // Quick runs measure at the requested thread count; full runs sweep the
@@ -547,40 +626,41 @@ fn run_all(cfg: &Config) -> Vec<Row> {
         if cfg.quick { "quick" } else { "full" },
         sweep
     );
-    let enabled = |group: &str| cfg.only.as_deref().is_none_or(|o| group.contains(o));
-    // Informational groups run only on request.
-    let selected = |group: &str| cfg.only.as_deref().is_some_and(|o| group.contains(o));
+    let runs = |group: &str| group_runs(cfg.only.as_deref(), group);
     for &t in sweep {
         graphalign_par::set_max_threads(t);
-        if enabled("gemm") {
+        if runs("gemm") {
             bench_gemm(cfg, t, &mut rows);
         }
-        if enabled("spmm") {
+        if runs("spmm") {
             bench_spmm(cfg, t, &mut rows);
         }
-        if enabled("sinkhorn") {
+        if runs("sinkhorn") {
             bench_sinkhorn(cfg, t, &mut rows);
         }
-        if enabled("graphlets") {
+        if runs("graphlets") {
             bench_graphlets(cfg, t, &mut rows);
         }
-        if enabled("isorank") {
+        if runs("isorank") {
             bench_isorank_loop(cfg, t, &mut rows);
         }
-        if selected("graal_dictionary") {
+        if runs("graal_dictionary") {
             bench_graal_dictionary(cfg, t, &mut rows);
         }
-        if selected("isorank_prior") {
+        if runs("isorank_prior") {
             bench_isorank_prior(cfg, t, &mut rows);
         }
-        if selected("assignment_density") {
+        if runs("assignment_density") {
             bench_assignment_density(cfg, t, &mut rows);
         }
-        if selected("spmm_crossover") {
+        if runs("spmm_crossover") {
             bench_spmm_crossover(cfg, t, &mut rows);
         }
-        if selected("structural_features") {
+        if runs("structural_features") {
             bench_structural_features(cfg, t, &mut rows);
+        }
+        if runs("sharded_topk") {
+            bench_sharded_topk(cfg, t, &mut rows);
         }
     }
     rows
@@ -788,5 +868,34 @@ fn main() {
             });
             println!("kernel_bench: wrote {} rows to {}", rows.len(), cfg.out);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn only_takes_exact_comma_separated_group_names() {
+        assert_eq!(parse_only("isorank"), Ok(vec!["isorank"]));
+        assert_eq!(
+            parse_only("structural_features,sharded_topk"),
+            Ok(vec!["structural_features", "sharded_topk"])
+        );
+        for bad in ["", "isorank_", "iso", "gemm,", ",gemm", "gemm,,spmm", "Gemm", " gemm"] {
+            assert!(parse_only(bad).is_err(), "{bad:?} must be refused");
+        }
+        assert_eq!(parse_only("gemm,nope"), Err("nope".to_string()));
+    }
+
+    #[test]
+    fn only_runs_exactly_the_named_groups() {
+        let only = parse_only("isorank").unwrap();
+        assert!(group_runs(Some(&only), "isorank"));
+        assert!(!group_runs(Some(&only), "isorank_prior"));
+        for info in INFO_GROUPS {
+            assert!(!group_runs(None, info), "{info} must stay out of the default suite");
+        }
+        assert!(SUITE_GROUPS.iter().all(|g| group_runs(None, g)));
     }
 }

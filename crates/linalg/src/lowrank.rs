@@ -9,9 +9,10 @@
 //! factors to the assignment layer instead of the `n × m` product is what
 //! keeps those methods subquadratic in memory (fig13/fig14 scale).
 //!
-//! Every evaluation goes through the same `vec_ops` microkernels as the dense
-//! constructors used before this module existed, so row scans here are
-//! bit-identical to the corresponding rows of the densified matrix:
+//! Every evaluation goes through the same `simd` microkernels that
+//! `vec_ops` forwards to (the kernels of the dense constructors used before
+//! this module existed), so row scans here are bit-identical to the
+//! corresponding rows of the densified matrix:
 //!
 //! * [`LowRankKernel::Dot`] matches `DenseMatrix::matmul_tr`, whose per-element
 //!   ascending shared-index summation is documented to equal
@@ -19,8 +20,14 @@
 //! * [`LowRankKernel::NegSqDist`] and [`LowRankKernel::ExpNegSqDist`] evaluate
 //!   the exact closure the dense constructors pass to
 //!   `DenseMatrix::par_from_fn` (`-dist2_sq` and `(-dist2_sq).exp()`).
+//!
+//! An entry is computed in two steps, a monotone *key* ([`LowRankSim::key`],
+//! the dot product or `-dist2_sq`) and its finish
+//! ([`LowRankSim::value_from_key`]: `exp` for `ExpNegSqDist`, then the row
+//! offset), so a top-k scan can discard most entries on the key alone.
 
 use crate::dense::DenseMatrix;
+use crate::simd;
 use crate::vec_ops;
 use crate::workspace::Workspace;
 
@@ -53,11 +60,42 @@ impl LowRankKernel {
         matches!(self, LowRankKernel::NegSqDist | LowRankKernel::ExpNegSqDist)
     }
 
-    fn eval(self, a: &[f64], b: &[f64]) -> f64 {
+    /// The monotone pre-image of the kernel: `a · b` for `Dot`,
+    /// `-‖a − b‖²` for the distance kernels. [`Self::finish`] maps it to the
+    /// kernel value without reordering any two keys.
+    #[inline]
+    fn key(self, a: &[f64], b: &[f64]) -> f64 {
         match self {
-            LowRankKernel::Dot => vec_ops::dot(a, b),
-            LowRankKernel::NegSqDist => -vec_ops::dist2_sq(a, b),
-            LowRankKernel::ExpNegSqDist => (-vec_ops::dist2_sq(a, b)).exp(),
+            LowRankKernel::Dot => simd::dot(a, b),
+            LowRankKernel::NegSqDist | LowRankKernel::ExpNegSqDist => -simd::dist2_sq(a, b),
+        }
+    }
+
+    /// Kernel value of a key: `exp(key)` for `ExpNegSqDist`, the key itself
+    /// otherwise.
+    #[inline]
+    fn finish(self, key: f64) -> f64 {
+        match self {
+            LowRankKernel::ExpNegSqDist => key.exp(),
+            LowRankKernel::Dot | LowRankKernel::NegSqDist => key,
+        }
+    }
+
+    /// The pruning floor of a top-k scan whose worst kept candidate has key
+    /// `worst`: every key strictly below the floor finishes (with the same
+    /// finite row offset) to a value no greater than `worst`'s, so it can
+    /// never beat that candidate. For `Dot` and `NegSqDist` the finish is the
+    /// identity and `x ↦ fl(x + off)` is monotone, so the floor is `worst`
+    /// itself. libm `exp` is accurate to below 1 ULP but not guaranteed
+    /// monotone, so `ExpNegSqDist` keeps a `1e-12` margin — a relative gap
+    /// in `exp` thousands of ULPs wide — and does not prune at all below
+    /// `-700`, where `exp` nears the subnormal range and ULPs stop being
+    /// relative. A NaN `worst` yields a NaN floor, which prunes nothing.
+    pub fn prune_floor(self, worst: f64) -> f64 {
+        match self {
+            LowRankKernel::Dot | LowRankKernel::NegSqDist => worst,
+            LowRankKernel::ExpNegSqDist if worst < -700.0 => f64::NEG_INFINITY,
+            LowRankKernel::ExpNegSqDist => worst - 1e-12,
         }
     }
 }
@@ -129,10 +167,47 @@ impl LowRankSim {
         self.row_offsets.as_deref()
     }
 
-    /// Evaluates the implicit entry `(i, j)`.
+    /// Evaluates the implicit entry `(i, j)`:
+    /// `value_from_key(i, key(i, j))`.
     pub fn value(&self, i: usize, j: usize) -> f64 {
-        let v = self.kernel.eval(self.ya.row(i), self.yb.row(j));
-        v + self.row_offsets.as_ref().map_or(0.0, |o| o[i])
+        self.value_from_key(i, self.key(i, j))
+    }
+
+    /// The monotone pre-image of entry `(i, j)` (see
+    /// [`LowRankKernel::prune_floor`]): `dot` for `Dot`, `-dist2_sq` for the
+    /// distance kernels.
+    pub fn key(&self, i: usize, j: usize) -> f64 {
+        self.kernel.key(self.ya.row(i), self.yb.row(j))
+    }
+
+    /// Finishes a key of row `i` into its entry value: the kernel's `exp`
+    /// (for `ExpNegSqDist`), then the row offset.
+    #[inline]
+    pub fn value_from_key(&self, i: usize, key: f64) -> f64 {
+        self.kernel.finish(key) + self.row_offsets.as_ref().map_or(0.0, |o| o[i])
+    }
+
+    /// Fills `out` with the keys of row `i` at columns `c0..c0 + out.len()`,
+    /// each bit-identical to [`Self::key`]; the kernel is dispatched once per
+    /// call, not per entry.
+    ///
+    /// # Panics
+    /// Panics when the column range exceeds `cols()`.
+    pub fn fill_keys(&self, i: usize, c0: usize, out: &mut [f64]) {
+        let a = self.ya.row(i);
+        let cols = (c0..c0 + out.len()).map(|j| self.yb.row(j));
+        match self.kernel {
+            LowRankKernel::Dot => {
+                for (o, b) in out.iter_mut().zip(cols) {
+                    *o = simd::dot(a, b);
+                }
+            }
+            LowRankKernel::NegSqDist | LowRankKernel::ExpNegSqDist => {
+                for (o, b) in out.iter_mut().zip(cols) {
+                    *o = -simd::dist2_sq(a, b);
+                }
+            }
+        }
     }
 
     /// Fills `out` with row `i` of the implicit matrix. Bit-identical to the
@@ -142,15 +217,9 @@ impl LowRankSim {
     /// Panics when `out.len() != cols()`.
     pub fn fill_row(&self, i: usize, out: &mut [f64]) {
         assert_eq!(out.len(), self.cols(), "fill_row: output length mismatch");
-        let a = self.ya.row(i);
-        for (j, o) in out.iter_mut().enumerate() {
-            *o = self.kernel.eval(a, self.yb.row(j));
-        }
-        if let Some(off) = &self.row_offsets {
-            let d = off[i];
-            for o in out.iter_mut() {
-                *o += d;
-            }
+        self.fill_keys(i, 0, out);
+        for o in out.iter_mut() {
+            *o = self.value_from_key(i, *o);
         }
     }
 
@@ -222,11 +291,7 @@ impl LowRankSim {
                 }
             }
             LowRankKernel::NegSqDist | LowRankKernel::ExpNegSqDist => {
-                let off = self.row_offsets.as_deref();
-                let (ya, yb, kernel) = (&self.ya, &self.yb, self.kernel);
-                out.par_fill_from_fn(|i, j| {
-                    kernel.eval(ya.row(i), yb.row(j)) + off.map_or(0.0, |o| o[i])
-                });
+                out.par_fill_from_fn(|i, j| self.value(i, j));
             }
         }
     }
@@ -258,20 +323,56 @@ mod tests {
     #[test]
     fn value_and_fill_row_match_fill_dense_bitwise() {
         let mut ws = Workspace::new();
-        for kernel in [LowRankKernel::Dot, LowRankKernel::NegSqDist, LowRankKernel::ExpNegSqDist] {
+        // Without offsets too: `ya` row 0 and `yb` row 1 coincide, so the
+        // distance kernels see a `-0.0` key there.
+        let kernels = [LowRankKernel::Dot, LowRankKernel::NegSqDist, LowRankKernel::ExpNegSqDist];
+        for (kernel, offsets) in kernels.into_iter().flat_map(|k| [(k, false), (k, true)]) {
             let (ya, yb) = factors();
-            let lr = LowRankSim::new(ya, yb, kernel).with_row_offsets(vec![0.25, 0.0, -1.5]);
+            let mut lr = LowRankSim::new(ya, yb, kernel);
+            if offsets {
+                lr = lr.with_row_offsets(vec![0.25, 0.0, -1.5]);
+            }
             let mut dense = DenseMatrix::zeros(lr.rows(), lr.cols());
             lr.fill_dense(&mut dense, &mut ws);
             let mut row = vec![0.0; lr.cols()];
             for i in 0..lr.rows() {
                 lr.fill_row(i, &mut row);
                 for j in 0..lr.cols() {
-                    assert_eq!(row[j].to_bits(), dense.get(i, j).to_bits(), "({i},{j}) {kernel:?}");
+                    assert_eq!(
+                        row[j].to_bits(),
+                        dense.get(i, j).to_bits(),
+                        "({i},{j}) {kernel:?} offsets {offsets}"
+                    );
                     assert_eq!(lr.value(i, j).to_bits(), dense.get(i, j).to_bits());
                 }
             }
         }
+    }
+
+    #[test]
+    fn fill_keys_match_key_and_finish_to_value() {
+        for kernel in [LowRankKernel::Dot, LowRankKernel::NegSqDist, LowRankKernel::ExpNegSqDist] {
+            let (ya, yb) = factors();
+            let lr = LowRankSim::new(ya, yb, kernel).with_row_offsets(vec![0.25, 0.0, -1.5]);
+            let mut keys = vec![0.0; 3];
+            for i in 0..lr.rows() {
+                lr.fill_keys(i, 1, &mut keys);
+                for (j, key) in (1..).zip(&keys) {
+                    assert_eq!(key.to_bits(), lr.key(i, j).to_bits(), "({i},{j}) {kernel:?}");
+                    let v = lr.value_from_key(i, *key);
+                    assert_eq!(v.to_bits(), lr.value(i, j).to_bits());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn prune_floor_keeps_the_exp_margin_and_the_subnormal_guard() {
+        assert_eq!(LowRankKernel::Dot.prune_floor(-3.5), -3.5);
+        assert_eq!(LowRankKernel::NegSqDist.prune_floor(-3.5), -3.5);
+        assert_eq!(LowRankKernel::ExpNegSqDist.prune_floor(-3.5), -3.5 - 1e-12);
+        assert_eq!(LowRankKernel::ExpNegSqDist.prune_floor(-700.5), f64::NEG_INFINITY);
+        assert!(LowRankKernel::ExpNegSqDist.prune_floor(f64::NAN).is_nan());
     }
 
     #[test]
